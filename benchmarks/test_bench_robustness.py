@@ -39,6 +39,7 @@ from repro.workloads.faults import (
     dead_letter_heal_plan,
     storage_blip_plan,
 )
+from repro.workloads.scenarios import dead_lettered_records
 
 from conftest import RESULTS_DIR, emit
 
@@ -128,16 +129,6 @@ def _drained(system):
     )
 
 
-def _dead_letter_records(channel):
-    """Records inside dead-lettered collected-batch envelopes."""
-    count = 0
-    for dead in channel.dead_letters:
-        acl = dead.message.payload
-        if getattr(acl, "ontology", None) == "collected-batch":
-            count += len(acl.content["records"])
-    return count
-
-
 def run_chaos(seed=3, timeout=2000.0):
     system = _build_system(seed=seed)
     system.collectors[0].poll_retries = 12
@@ -150,7 +141,7 @@ def run_chaos(seed=3, timeout=2000.0):
     collector = system.collectors[0]
     evictions = system.root.evictions
     detection_delay = (evictions[0][1] - KILL_AT) if evictions else -1.0
-    dead_records = _dead_letter_records(channel)
+    dead_records = dead_lettered_records(channel)
     pipeline = system.telemetry.pipeline_report()
     return {
         "pipeline": pipeline,
@@ -595,7 +586,7 @@ def run_mesh_partition(seed=9, timeout=2000.0):
         for peer, at in gateway.partitions if peer == "site4"
     ) - PARTITION_AT
     forwarding = system.forwarding_report()
-    dead_records = _dead_letter_records(channel)
+    dead_records = dead_lettered_records(channel)
     return {
         "drained": drained(),
         "records_shipped": system.records_shipped(),
@@ -798,39 +789,6 @@ def run_slo_burn(seed=11, timeout=2000.0):
     }
 
 
-def _catalog_system(scenario, analysis_hosts=2, seed=11, slos=None):
-    """Build + faultify a catalog scenario on the chaos-matrix topology.
-
-    Mirrors ``tests/test_robustness_scenarios.py``: the scenario is
-    declarative -- ``spec_overrides`` configure the spec, ``fault_plan``
-    schedules the failures, ``build_goals`` shapes the workload.
-    """
-    from repro.core.system import GridTopologySpec
-
-    extra = {} if slos is None else {"slos": slos}
-    spec = GridTopologySpec(
-        devices=scenario.devices,
-        collector_hosts=[HostSpec("col1", "field")],
-        analysis_hosts=[HostSpec("inf%d" % (index + 1), "mgmt")
-                        for index in range(analysis_hosts)],
-        storage_host=HostSpec("stor", "mgmt"),
-        interface_host=HostSpec("iface", "mgmt"),
-        seed=seed,
-        dataset_threshold=4,
-        policy="round-robin",
-        job_timeout=JOB_TIMEOUT,
-        wan=LinkSpec(latency=0.05, bandwidth=1000.0, loss_rate=0.0),
-        **scenario.spec_overrides,
-        **extra
-    )
-    system = GridManagementSystem(spec)
-    system.collectors[0].poll_retries = 8
-    if scenario.fault_plan is not None:
-        apply_fault_plan(system, scenario.fault_plan)
-    system.assign_goals(scenario.build_goals(seed=seed))
-    return system
-
-
 # -- scenario catalog: split-brain gossip (ISSUE 10) --------------------------
 
 SPLIT_BRAIN_AT = 15.0
@@ -852,7 +810,7 @@ def run_split_brain(timeout=2000.0):
     scenario = split_brain_scenario(
         island_hosts=("stor", "inf1", "inf2"),
         partition_at=SPLIT_BRAIN_AT, heal_after=SPLIT_BRAIN_HEAL)
-    system = _catalog_system(scenario, analysis_hosts=4)
+    system = scenario.build(11, analysis_hosts=4)
     # run well past the heal so refutation + flush traffic settles
     system.sim.run(until=SPLIT_BRAIN_AT + SPLIT_BRAIN_HEAL + 30.0)
     _run_until_drained(system, timeout)
@@ -872,7 +830,7 @@ def run_split_brain(timeout=2000.0):
         "silent_loss": max(
             0, system.collectors[0].records_shipped
             - system.classifier.records_classified
-            - _dead_letter_records(channel)),
+            - dead_lettered_records(channel)),
         "observers_detected": len(delays),
         "detection_delay": detection_delay,
         "detection_margin": GOSSIP_HEARTBEAT_TIMEOUT - detection_delay,
@@ -979,9 +937,9 @@ def _flash_system(spiked, seed=11):
         scenario.traffic = TrafficShape(day_length=FLASH_DAY)
     # An inert SLO (never trips) attaches the health layer, whose
     # streaming histograms give us the ship-stage p99.
-    return _catalog_system(
-        scenario, analysis_hosts=2, seed=seed,
-        slos=[SLOSpec("ship", p=99.0, target=1000.0, window=120.0)])
+    scenario.spec_overrides["slos"] = [
+        SLOSpec("ship", p=99.0, target=1000.0, window=120.0)]
+    return scenario.build(seed, analysis_hosts=2)
 
 
 def run_flash_crowd():

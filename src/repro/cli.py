@@ -513,94 +513,10 @@ _CHAOS_HORIZONS = {"flash_crowd": 2000.0}
 _CHAOS_DEFAULT_HORIZON = 400.0
 
 
-def _build_chaos_system(scenario, seed, analysis_hosts=4):
-    """The chaos-matrix topology (same as tests/test_robustness_scenarios):
-    one field collector host, N mgmt analysis hosts, storage+interface on
-    mgmt, the scenario's spec overrides merged in."""
-    from repro.core.system import (
-        GridManagementSystem, GridTopologySpec, HostSpec)
-    from repro.network.topology import LinkSpec
-    from repro.workloads.faults import apply_fault_plan
-
-    spec = GridTopologySpec(
-        devices=scenario.devices,
-        collector_hosts=[HostSpec("col1", "field")],
-        analysis_hosts=[HostSpec("inf%d" % (index + 1), "mgmt")
-                        for index in range(analysis_hosts)],
-        storage_host=HostSpec("stor", "mgmt"),
-        interface_host=HostSpec("iface", "mgmt"),
-        seed=seed,
-        dataset_threshold=4,
-        policy="round-robin",
-        job_timeout=40.0,
-        wan=LinkSpec(latency=0.05, bandwidth=1000.0, loss_rate=0.0),
-        **scenario.spec_overrides
-    )
-    system = GridManagementSystem(spec)
-    system.collectors[0].poll_retries = 8
-    if scenario.fault_plan is not None:
-        apply_fault_plan(system, scenario.fault_plan)
-    system.assign_goals(scenario.build_goals(seed=seed))
-    return system
-
-
-def _chaos_tier_violations(system, tier):
-    """The invariant-tier ladder as a violation list (empty = upheld)."""
-    from repro.workloads.scenarios import (
-        INVARIANT_TIERS, TIER_DETECTION_SURVIVES, TIER_HEAL_COMPLETE,
-        TIER_NO_SILENT_LOSS)
-
-    violations = []
-    shipped = system.collectors[0].records_shipped
-    classified = system.classifier.records_classified
-    if shipped == 0:
-        return ["no records shipped -- the run is vacuous"]
-    rank = INVARIANT_TIERS.index(tier)
-    if rank < INVARIANT_TIERS.index(TIER_NO_SILENT_LOSS):
-        return violations
-    channel = system.reliable_channel
-    dead = 0
-    if channel is not None:
-        for letter in channel.dead_letters:
-            acl = letter.message.payload
-            if getattr(acl, "ontology", None) == "collected-batch":
-                dead += len(acl.content["records"])
-    if classified + dead < shipped:
-        violations.append(
-            "silent loss: shipped %d > classified %d + dead-lettered %d"
-            % (shipped, classified, dead))
-    if rank < INVARIANT_TIERS.index(TIER_HEAL_COMPLETE):
-        return violations
-    if classified != shipped:
-        violations.append("not heal-complete: classified %d != shipped %d"
-                          % (classified, shipped))
-    if channel is not None:
-        if channel.parked_count():
-            violations.append("%d envelope(s) still parked"
-                              % channel.parked_count())
-        if channel.pending_count():
-            violations.append("%d envelope(s) still pending"
-                              % channel.pending_count())
-        if channel.permanently_dead():
-            violations.append("%d envelope(s) permanently dead"
-                              % len(channel.permanently_dead()))
-    if not system.root.datasets:
-        violations.append("no datasets reached the root")
-    elif not all(state.finished for state in system.root.datasets.values()):
-        violations.append("unfinished dataset(s) at the root")
-    if rank < INVARIANT_TIERS.index(TIER_DETECTION_SURVIVES):
-        return violations
-    if system.gossip is None:
-        violations.append("tier requires gossip= but no mesh was built")
-    elif not system.gossip.detection_times():
-        violations.append("gossip never confirmed the root dead -- "
-                          "detection did not survive the outage")
-    return violations
-
-
 def _cmd_chaos(args):
     """Run a catalog chaos scenario and gate its invariant tier."""
-    from repro.workloads.scenarios import SCENARIO_CATALOG, catalog_scenario
+    from repro.workloads.scenarios import (
+        SCENARIO_CATALOG, catalog_scenario, check_tier)
 
     if args.list:
         for name in sorted(SCENARIO_CATALOG):
@@ -619,8 +535,7 @@ def _cmd_chaos(args):
         return 2
     horizon = args.horizon if args.horizon is not None else \
         _CHAOS_HORIZONS.get(scenario.name, _CHAOS_DEFAULT_HORIZON)
-    system = _build_chaos_system(scenario, args.seed,
-                                 analysis_hosts=args.analysis_hosts)
+    system = scenario.build(args.seed, analysis_hosts=args.analysis_hosts)
     system.sim.run(until=horizon)
 
     shipped = system.collectors[0].records_shipped
@@ -648,7 +563,7 @@ def _cmd_chaos(args):
     print(format_table(("metric", "value"), rows,
                        title="chaos drill: %s (horizon %gs, seed %d)" % (
                            scenario.name, horizon, args.seed)))
-    violations = _chaos_tier_violations(system, scenario.expected_tier)
+    violations = check_tier(system, scenario.expected_tier)
     if args.report:
         export.dump_json({
             "scenario": scenario.name,

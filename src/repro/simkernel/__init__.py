@@ -30,7 +30,6 @@ from repro.simkernel.simulator import (
 from repro.simkernel.resources import Resource, ResourceKind, Use
 from repro.simkernel.rng import RngStream, derive_seed
 from repro.simkernel.metrics import Counter, Gauge, MetricRegistry, TimeSeries
-from repro.simkernel.trace import SimulationTracer, TraceRecord, trace_transport
 from repro.simkernel.telemetry import (
     KernelProfiler,
     Span,
@@ -53,13 +52,10 @@ __all__ = [
     "ScheduledEvent",
     "SimEvent",
     "SimulationError",
-    "SimulationTracer",
     "Simulator",
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "TraceRecord",
-    "trace_transport",
     "TimeSeries",
     "Use",
     "derive_seed",

@@ -20,7 +20,8 @@ tier                                      guarantee asserted by its cell
 :data:`TIER_SILENT_LOSS`                  none -- the documented baseline
                                           failure mode (fire-and-forget
                                           transports lose records silently)
-:data:`TIER_NO_SILENT_LOSS`               every loss is *accounted*:
+:data:`TIER_NO_SILENT_LOSS`               every loss is *accounted* by the
+                                          reliable channel:
                                           ``classified + dead >= shipped``
 :data:`TIER_HEAL_COMPLETE`                after the faults clear and
                                           redelivery drains,
@@ -32,13 +33,23 @@ tier                                      guarantee asserted by its cell
                                           outage window)
 ========================================  ==================================
 
-Every catalog scenario registers a cell in the
-``tests/test_robustness_scenarios.py`` chaos matrix asserting exactly its
+:func:`check_tier` is the executable form of this table: it returns
+the list of violated guarantees (empty = tier upheld).  The chaos matrix
+in ``tests/test_robustness_scenarios.py`` and the ``repro-sim chaos``
+drill judge runs through it, and :meth:`Scenario.build` builds the one
+chaos-matrix topology they share with the robustness bench.  Every
+catalog scenario registers a cell in that matrix asserting exactly its
 tier, and a gated row in ``BENCH_robustness.json``.
 """
 
-from repro.core.system import DeviceSpec
-from repro.workloads.faults import FaultPlan
+from repro.core.system import (
+    DeviceSpec,
+    GridManagementSystem,
+    GridTopologySpec,
+    HostSpec,
+)
+from repro.network.topology import LinkSpec
+from repro.workloads.faults import FaultPlan, apply_fault_plan
 from repro.workloads.generator import RequestMix, WorkloadGenerator
 
 #: The invariant-tier ladder, weakest to strongest (see module docstring).
@@ -52,6 +63,72 @@ INVARIANT_TIERS = (
     TIER_HEAL_COMPLETE,
     TIER_DETECTION_SURVIVES,
 )
+
+
+def dead_lettered_records(channel):
+    """Records inside ``channel``'s dead-lettered collected-batch
+    envelopes -- the loss the reliable channel *accounted* for."""
+    count = 0
+    for letter in channel.dead_letters:
+        acl = letter.message.payload
+        if getattr(acl, "ontology", None) == "collected-batch":
+            count += len(acl.content["records"])
+    return count
+
+
+def check_tier(system, tier):
+    """Judge a finished run against ``tier`` and everything below it.
+
+    Returns the violated guarantees as strings; an empty list means the
+    run upheld the tier.  Bookkeeping sanity (``classified <= shipped``)
+    holds at every tier, and a run that shipped nothing is vacuous.
+    """
+    shipped = system.collectors[0].records_shipped
+    classified = system.classifier.records_classified
+    if shipped == 0:
+        return ["no records shipped -- the run is vacuous"]
+    violations = []
+    if classified > shipped:
+        violations.append("double count: classified %d > shipped %d"
+                          % (classified, shipped))
+    rank = INVARIANT_TIERS.index(tier)
+    if rank < INVARIANT_TIERS.index(TIER_NO_SILENT_LOSS):
+        return violations
+    channel = system.reliable_channel
+    if channel is None:
+        violations.append("tier requires a reliable channel")
+        return violations
+    dead = dead_lettered_records(channel)
+    if classified + dead < shipped:
+        violations.append(
+            "silent loss: shipped %d > classified %d + dead-lettered %d"
+            % (shipped, classified, dead))
+    if rank < INVARIANT_TIERS.index(TIER_HEAL_COMPLETE):
+        return violations
+    if classified != shipped:
+        violations.append("not heal-complete: classified %d != shipped %d"
+                          % (classified, shipped))
+    if channel.parked_count():
+        violations.append("%d envelope(s) still parked"
+                          % channel.parked_count())
+    if channel.pending_count():
+        violations.append("%d envelope(s) still pending"
+                          % channel.pending_count())
+    if channel.permanently_dead():
+        violations.append("%d envelope(s) permanently dead"
+                          % len(channel.permanently_dead()))
+    if not system.root.datasets:
+        violations.append("no datasets reached the root")
+    elif not all(state.finished for state in system.root.datasets.values()):
+        violations.append("unfinished dataset(s) at the root")
+    if rank < INVARIANT_TIERS.index(TIER_DETECTION_SURVIVES):
+        return violations
+    if system.gossip is None:
+        violations.append("tier requires gossip= but no mesh was built")
+    elif not system.gossip.detection_times():
+        violations.append("gossip never confirmed the root dead -- "
+                          "detection did not survive the outage")
+    return violations
 
 
 class TrafficShape:
@@ -114,8 +191,8 @@ class Scenario:
       :data:`INVARIANT_TIERS`) this scenario's chaos-matrix cell asserts.
     * ``spec_overrides`` -- :class:`~repro.core.system.GridTopologySpec`
       keyword overrides the scenario requires (e.g. ``split_brain`` needs
-      ``gossip=`` and a reliability ladder); runners and the
-      ``repro-sim chaos`` drill merge these into the spec they build.
+      ``gossip=`` and a reliability ladder); :meth:`build` merges these
+      into the chaos-matrix spec.
     """
 
     def __init__(self, name, devices, mix, interval=1.0, stagger=0.1,
@@ -155,6 +232,36 @@ class Scenario:
                 self.mix, self.device_names(), seed=seed)
         return goals_for_mix(self.mix, self.device_names(),
                              interval=self.interval, stagger=self.stagger)
+
+    def build(self, seed, analysis_hosts=2):
+        """The faultified, goal-assigned chaos-matrix system, not yet run.
+
+        One field collector host ``col1``, ``analysis_hosts`` management
+        analysis hosts ``inf1..infN``, storage on ``stor`` and the
+        interface on ``iface``, with :attr:`spec_overrides` merged into
+        the spec.  The caller picks the horizon and drives
+        ``system.sim.run``; :func:`check_tier` then judges the run.
+        """
+        spec = GridTopologySpec(
+            devices=self.devices,
+            collector_hosts=[HostSpec("col1", "field")],
+            analysis_hosts=[HostSpec("inf%d" % (index + 1), "mgmt")
+                            for index in range(analysis_hosts)],
+            storage_host=HostSpec("stor", "mgmt"),
+            interface_host=HostSpec("iface", "mgmt"),
+            seed=seed,
+            dataset_threshold=4,
+            policy="round-robin",
+            job_timeout=40.0,
+            wan=LinkSpec(latency=0.05, bandwidth=1000.0, loss_rate=0.0),
+            **self.spec_overrides
+        )
+        system = GridManagementSystem(spec)
+        system.collectors[0].poll_retries = 8
+        if self.fault_plan is not None:
+            apply_fault_plan(system, self.fault_plan)
+        system.assign_goals(self.build_goals(seed=seed))
+        return system
 
     def compose(self, other):
         """Overlay another scenario's failure modes onto this workload.

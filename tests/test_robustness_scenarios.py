@@ -28,6 +28,7 @@ heal-complete contract *globally* -- plus mesh-specific invariants
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.system import (
     DeviceSpec,
@@ -38,12 +39,16 @@ from repro.core.system import (
 from repro.network.topology import LinkSpec
 from repro.workloads.faults import FaultEvent, FaultPlan, apply_fault_plan
 from repro.workloads.scenarios import (
+    SCENARIO_CATALOG,
     TIER_DETECTION_SURVIVES,
     TIER_HEAL_COMPLETE,
     TIER_NO_SILENT_LOSS,
     TIER_SILENT_LOSS,
     Scenario,
     cascade_scenario,
+    catalog_scenario,
+    check_tier,
+    dead_lettered_records,
     flash_crowd_scenario,
     rolling_upgrade_scenario,
     split_brain_scenario,
@@ -88,15 +93,6 @@ def _build(reliability, telemetry, slos=(), heartbeat_interval=None):
     return GridManagementSystem(spec)
 
 
-def _dead_letter_records(channel):
-    count = 0
-    for dead in channel.dead_letters:
-        acl = dead.message.payload
-        if getattr(acl, "ontology", None) == "collected-batch":
-            count += len(acl.content["records"])
-    return count
-
-
 def _run_cell(reliability, telemetry, heal):
     system = _build(reliability, telemetry)
     system.collectors[0].poll_retries = 8
@@ -123,6 +119,9 @@ class TestTier0NoReliability:
         assert classified <= shipped
         # The outage was real: fire-and-forget lost records silently.
         assert classified < shipped
+        assert check_tier(system, TIER_SILENT_LOSS) == []
+        assert check_tier(system, TIER_NO_SILENT_LOSS) == [
+            "tier requires a reliable channel"]
         if telemetry:
             assert system.telemetry.recorder.orphan_spans() == []
         else:
@@ -136,7 +135,7 @@ class TestTier1ReliableNoHeal:
         channel = system.reliable_channel
         shipped = system.collectors[0].records_shipped
         classified = system.classifier.records_classified
-        dead = _dead_letter_records(channel)
+        dead = dead_lettered_records(channel)
         assert shipped > 0
         # The destination never heals: envelopes exhaust, park, and the
         # delivery budget expires -- all accounted, nothing silent.
@@ -145,6 +144,9 @@ class TestTier1ReliableNoHeal:
         assert channel.parked_count() == 0  # budget drained the lot
         assert classified + dead >= shipped
         assert classified < shipped  # the loss is real, just not silent
+        # The oracle agrees, and flags the stronger tier it cannot reach.
+        assert check_tier(system, TIER_NO_SILENT_LOSS) == []
+        assert check_tier(system, TIER_HEAL_COMPLETE) != []
         if telemetry:
             recorder = system.telemetry.recorder
             assert recorder.orphan_spans() == []
@@ -298,73 +300,20 @@ class TestMeshPartitionHeal:
             assert system.telemetry is None
 
 
-# -- the compound-failure scenario catalog (ISSUE 10) ---------------------
+# -- the compound-failure scenario catalog --------------------------------
 #
 # One cell per catalog scenario; each asserts exactly the invariant tier
-# the scenario declares, through a shared tier-assertion ladder.
+# the scenario declares, through the library's oracle ``check_tier``.
 
 GOSSIP_HEARTBEAT_TIMEOUT = 8.0  # 4 x the catalog's heartbeat_interval
+CATALOG_SEED = 11
 
 
-def _build_scenario(scenario, analysis_hosts=2, horizon=HORIZON):
-    """Build, faultify and run a catalog scenario on the matrix topology.
-
-    The scenario is *declarative*: its ``spec_overrides`` configure the
-    spec (reliability ladder, heartbeats, gossip), its ``fault_plan``
-    schedules the failures, and ``build_goals`` generates the (possibly
-    traffic-shaped) workload.
-    """
-    spec = GridTopologySpec(
-        devices=scenario.devices,
-        collector_hosts=[HostSpec("col1", "field")],
-        analysis_hosts=[HostSpec("inf%d" % (index + 1), "mgmt")
-                        for index in range(analysis_hosts)],
-        storage_host=HostSpec("stor", "mgmt"),
-        interface_host=HostSpec("iface", "mgmt"),
-        seed=11,
-        dataset_threshold=4,
-        policy="round-robin",
-        job_timeout=40.0,
-        wan=LinkSpec(latency=0.05, bandwidth=1000.0, loss_rate=0.0),
-        **scenario.spec_overrides
-    )
-    system = GridManagementSystem(spec)
-    system.collectors[0].poll_retries = 8
-    if scenario.fault_plan is not None:
-        apply_fault_plan(system, scenario.fault_plan)
-    system.assign_goals(scenario.build_goals(seed=11))
+def _run_scenario(scenario, analysis_hosts=2, horizon=HORIZON):
+    """Build a catalog scenario on the chaos-matrix topology and run it."""
+    system = scenario.build(CATALOG_SEED, analysis_hosts=analysis_hosts)
     system.sim.run(until=horizon)
     return system
-
-
-def _assert_tier(system, tier):
-    """The invariant ladder: each tier implies everything below it."""
-    shipped = system.collectors[0].records_shipped
-    classified = system.classifier.records_classified
-    assert shipped > 0
-    if tier == TIER_SILENT_LOSS:
-        assert classified <= shipped  # bookkeeping sanity only
-        return
-    channel = system.reliable_channel
-    dead = _dead_letter_records(channel)
-    assert classified + dead >= shipped  # no silent loss
-    if tier == TIER_NO_SILENT_LOSS:
-        return
-    # heal-complete: the faults cleared and redelivery drained the lot.
-    assert classified == shipped
-    assert channel.parked_count() == 0
-    assert channel.pending_count() == 0
-    assert not channel.permanently_dead()
-    assert system.root.datasets
-    assert all(state.finished for state in system.root.datasets.values())
-    if tier == TIER_HEAL_COMPLETE:
-        return
-    # detection-survives-root-outage: the gossip mesh converged on the
-    # root's death while the root was unreachable (asserted in detail by
-    # the split-brain cell).
-    assert tier == TIER_DETECTION_SURVIVES
-    assert system.gossip is not None
-    assert system.gossip.detection_times()
 
 
 class TestSplitBrainCell:
@@ -379,11 +328,11 @@ class TestSplitBrainCell:
             island_hosts=("stor", "inf1", "inf2"),
             partition_at=self.PARTITION_AT, heal_after=self.HEAL_AFTER)
         assert scenario.expected_tier == TIER_DETECTION_SURVIVES
-        return _build_scenario(scenario, analysis_hosts=4)
+        return _run_scenario(scenario, analysis_hosts=4)
 
     def test_detection_survives_root_outage(self):
         system = self._run()
-        _assert_tier(system, TIER_DETECTION_SURVIVES)
+        assert check_tier(system, TIER_DETECTION_SURVIVES) == []
         mesh = system.gossip
 
         # Severed analyzers (inf3/inf4) converged on the root's death
@@ -433,8 +382,8 @@ class TestCascadeCell:
         # host 1 recovers.
         events = list(scenario.fault_plan)
         assert events[1].at < events[0].at + events[0].clear_after
-        system = _build_scenario(scenario)
-        _assert_tier(system, TIER_HEAL_COMPLETE)
+        system = _run_scenario(scenario)
+        assert check_tier(system, TIER_HEAL_COMPLETE) == []
         # The overlap window (both hosts dark) forced real evictions and
         # re-dispatch; recovery brought every container back.
         assert system.root.containers_evicted >= 1
@@ -449,8 +398,8 @@ class TestFlashCrowdCell:
         assert scenario.expected_tier == TIER_HEAL_COMPLETE
         # The crowd genuinely backlogs the shared storage-host pipeline;
         # the horizon gives the grid time to absorb and drain it.
-        system = _build_scenario(scenario, horizon=800.0)
-        _assert_tier(system, TIER_HEAL_COMPLETE)
+        system = _run_scenario(scenario, horizon=800.0)
+        assert check_tier(system, TIER_HEAL_COMPLETE) == []
         # The crowd was real: the spiked workload shipped far more than
         # the baseline mix alone.
         assert system.collectors[0].records_shipped > \
@@ -475,8 +424,8 @@ class TestRollingUpgradeCell:
         events = list(scenario.fault_plan)
         for first, second in zip(events, events[1:]):
             assert first.at + first.clear_after <= second.at
-        system = _build_scenario(scenario)
-        _assert_tier(system, TIER_HEAL_COMPLETE)
+        system = _run_scenario(scenario)
+        assert check_tier(system, TIER_HEAL_COMPLETE) == []
         # Each bounce (5s) stays inside the heartbeat timeout (8s): a
         # disciplined upgrade never trips eviction, unlike the cascade.
         assert system.root.containers_evicted == 0
@@ -530,13 +479,73 @@ class TestScenarioComposition:
             crowd.compose(other)
 
     def test_composed_run_upholds_tier_and_is_deterministic(self):
-        first = _build_scenario(self._composed(), horizon=800.0)
-        _assert_tier(first, TIER_NO_SILENT_LOSS)
+        first = _run_scenario(self._composed(), horizon=800.0)
+        assert check_tier(first, TIER_NO_SILENT_LOSS) == []
         # The burst actually bit: the channel had to retransmit.
         assert first.reliable_channel.retransmits > 0
-        second = _build_scenario(self._composed(), horizon=800.0)
+        second = _run_scenario(self._composed(), horizon=800.0)
         assert json.dumps(self._metrics(first), sort_keys=True) == \
             json.dumps(self._metrics(second), sort_keys=True)
+
+
+# -- generated cells: the tier fuzzer --------------------------------------
+#
+# Every fault window below ends before HORIZON, so once the run passes it
+# only the collector's backlog and redelivery remain to drain.
+
+SETTLE_LIMIT = 20000.0
+fault_starts = st.floats(5.0, 30.0)
+catalog_windows = {
+    "split_brain": st.fixed_dictionaries({
+        "partition_at": fault_starts, "heal_after": st.floats(15.0, 60.0)}),
+    "cascade": st.fixed_dictionaries({
+        "start_at": fault_starts, "stagger": st.floats(1.0, 20.0),
+        "down_duration": st.floats(5.0, 40.0)}),
+    # Two requests per type keep a 100x crowd's drain near 1.5s of wall
+    # time (the default six take ~8s); the spike still multiplies it.
+    "flash_crowd": st.fixed_dictionaries({
+        "spike_multiplier": st.floats(10.0, 100.0),
+        "requests_per_type": st.just(2)}),
+    "rolling_upgrade": st.tuples(
+        fault_starts, st.floats(1.0, 10.0), st.floats(0.5, 20.0)).map(
+            lambda drawn: {"start_at": drawn[0],
+                           "restart_duration": drawn[1],
+                           "wave_gap": drawn[1] + drawn[2]}),
+}
+catalog_entries = st.sampled_from(sorted(SCENARIO_CATALOG)).flatmap(
+    lambda name: catalog_windows[name].map(
+        lambda windows: catalog_scenario(name, **windows)))
+
+
+def _run_settled(system, tier):
+    """Run past every fault window, then on until the collector has
+    worked off its goals and the tier holds (or ``SETTLE_LIMIT``)."""
+    system.sim.run(until=HORIZON)
+    collector = system.collectors[0]
+    while system.sim.now < SETTLE_LIMIT and (
+            not collector.idle_event.triggered or check_tier(system, tier)):
+        system.sim.run(until=system.sim.now + 100.0)
+
+
+class TestCatalogTierFuzz:
+    """Any catalog scenario, at any seed and fault windows, optionally
+    composed with a second one, upholds the tier it declares."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=catalog_entries, other=st.none() | catalog_entries,
+           seed=st.integers(0, 2 ** 16), analysis_hosts=st.integers(2, 4))
+    def test_generated_cell_upholds_declared_tier(
+            self, scenario, other, seed, analysis_hosts):
+        if other is not None:
+            try:
+                scenario = scenario.compose(other)
+            except ValueError:
+                # incoherent kill windows on one host, e.g. a cascade
+                # overlapping a rolling upgrade's restart of inf1
+                assume(False)
+        system = scenario.build(seed, analysis_hosts=analysis_hosts)
+        _run_settled(system, scenario.expected_tier)
+        assert check_tier(system, scenario.expected_tier) == []
 
 
 class TestScorecardFlip:
