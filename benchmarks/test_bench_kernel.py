@@ -10,6 +10,8 @@ bench measures:
   same-instant callbacks (the kernel's fast lane);
 * process spawn/join throughput;
 * resource contention -- many processes hammering one FIFO resource;
+* rule-engine scaling -- the standard rule base (levels 1-2) over one
+  job of 150 and of 2400 synthetic records, as wall time per record;
 * an end-to-end Figure-6c (agent grid) wall-clock measurement.
 
 Results go to stdout, ``benchmarks/results/kernel.txt`` and -- machine
@@ -57,6 +59,14 @@ BIGTOPO_DEVICES = 500
 BIGTOPO_REQUESTS_PER_TYPE = 25
 BIGTOPO_COLLECTORS = 16
 BIGTOPO_ANALYZERS = 14
+# Rule-engine scaling: one level-2 analysis job over this many records;
+# each size analyzes RULE_TOTAL_RECORDS in all (RULE_TOTAL_RECORDS / size
+# jobs), so the small size is timed over the same work as the large one.
+RULE_JOB_RECORDS = (150, 2400)
+RULE_TOTAL_RECORDS = 2400
+# One device in 20 is faulty: at one in five a 2400-record job makes more
+# memory-changing firings than the engine's default max_cycles (1000).
+RULE_FAULTY_EVERY = 20
 
 _RESULTS = {}
 
@@ -266,6 +276,91 @@ def test_bench_transport_unbatched():
           (rate, elapsed, TRANSPORT_MESSAGES))
 
 
+def _rule_job_memory(record_count):
+    """Working memory of one cluster job over synthetic records.
+
+    A third of the records are performance polls, a third storage, a third
+    traffic (two interfaces); every device has one record of each and its
+    baselines.  Faulty devices trip every level-1 and level-2 rule, so the
+    job fires rules as well as joining.
+    """
+    from repro.core.records import ManagementRecord, Sample
+    from repro.rules.facts import Fact, WorkingMemory
+
+    memory = WorkingMemory()
+    devices = record_count // 3
+    for index in range(devices):
+        device = "dev%d" % index
+        site = "site%d" % (index % 4)
+        faulty = index % RULE_FAULTY_EVERY == 0
+        polls = {
+            "performance": [
+                ("cpu_load", 97.0 if faulty else 20.0 + index % 50, None),
+                ("mem_available", 40 * 1024 if faulty else 600 * 1024, None),
+                ("load_avg", 7.5 if faulty else 0.5, None),
+            ],
+            "storage": [
+                ("disk_free", 200 * 1024 if faulty else 8 * 1024 * 1024, None),
+                ("proc_count", 450 if faulty else 120, None),
+            ],
+            "traffic": [
+                ("if_oper_status", 2 if faulty else 1, 1),
+                ("if_oper_status", 1, 2),
+                ("if_in_rate", 9000.0 if faulty else 800.0, 1),
+                ("if_in_rate", 0.5 if faulty else 700.0, 2),
+            ],
+        }
+        for request_type, (group, samples) in zip("ABC", polls.items()):
+            record = ManagementRecord(
+                device, site, request_type, group,
+                [Sample(device, site, group, metric, value, 1.0,
+                        instance=instance)
+                 for metric, value, instance in samples],
+                collected_at=1.0, size_units=1.0, parsed=True)
+            for fact in record.to_facts():
+                memory.assert_fact(fact)
+        for metric, mean, instance in (
+                ("mem_available", 800 * 1024, None), ("load_avg", 0.6, None),
+                ("disk_free", 8 * 1024 * 1024, None),
+                ("if_in_rate", 800.0, 1), ("if_in_rate", 800.0, 2)):
+            memory.assert_fact(Fact(
+                "baseline", device=device, metric=metric, instance=instance,
+                mean=mean, maximum=2 * mean))
+    return memory
+
+
+def test_bench_rule_engine_scaling():
+    """Rule-engine wall time per record at 150 and 2400 records per job.
+
+    Only the engine is timed (built over the loaded memory, run to
+    quiescence).  An engine that rematched every rule after every firing
+    grows superlinearly with the job; the CI ratio gate holds the 2400-
+    record job within 2x the 150-record job's per-record cost.
+    """
+    from repro.rules.stdlib import standard_knowledge_base
+
+    knowledge_base = standard_knowledge_base()
+    for size in RULE_JOB_RECORDS:
+        best = None
+        for _ in range(ROUNDS):
+            memories = [_rule_job_memory(size)
+                        for _ in range(RULE_TOTAL_RECORDS // size)]
+            gc.collect()
+            fired = 0
+            start = time.perf_counter()
+            for memory in memories:
+                fired += knowledge_base.engine_for(memory, max_level=2).run()
+            elapsed = time.perf_counter() - start
+            assert fired and all(memory.count("problem")
+                                 for memory in memories)
+            if best is None or elapsed < best:
+                best = elapsed
+        per_record_ms = 1000.0 * best / RULE_TOTAL_RECORDS
+        _RESULTS["rules_wall_per_record_%d" % size] = per_record_ms
+        print("rule engine, %d-record jobs: %.4f ms/record (%d firings)"
+              % (size, per_record_ms, fired))
+
+
 def test_bench_bigtopo_wallclock():
     """X3 big topology: 500 devices on a 32-host grid, end to end."""
     from repro.evaluation.experiments import run_scenario_on_grid
@@ -447,6 +542,8 @@ def test_bench_kernel_export():
         "figure6c_wall_seconds",
         "zero_delay_telemetry_events_per_sec",
         "figure6c_telemetry_wall_seconds",
+        "rules_wall_per_record_150",
+        "rules_wall_per_record_2400",
     }
     missing = expected - set(_RESULTS)
     assert not missing, "benches did not run: %s" % sorted(missing)
@@ -481,6 +578,8 @@ def test_bench_kernel_export():
             "bigtopo_requests_per_type": BIGTOPO_REQUESTS_PER_TYPE,
             "bigtopo_collectors": BIGTOPO_COLLECTORS,
             "bigtopo_analyzers": BIGTOPO_ANALYZERS,
+            "rule_job_records": list(RULE_JOB_RECORDS),
+            "rule_total_records": RULE_TOTAL_RECORDS,
         },
     )
     dump_json(payload, BENCH_PATH)

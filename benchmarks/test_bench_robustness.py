@@ -516,7 +516,18 @@ PARTITION_AT = 15.0
 PARTITION_LEN = 25.0  # > the ~15s ladder: redelivery must drain the rest
 
 
-def run_mesh_partition(seed=9, timeout=2000.0):
+def _detection_margin(timeout, detection_delay):
+    """How far detection beat the heartbeat timeout (floor-gated at 0).
+
+    An undetected cut reports ``detection_delay == -1.0``; its margin is
+    -1.0 too, so the CI floor fails on it instead of reading it as early.
+    """
+    if detection_delay < 0:
+        return -1.0
+    return timeout - detection_delay
+
+
+def run_mesh_partition(seed=9, timeout=2000.0, partition_len=PARTITION_LEN):
     """A 4-site mesh loses one site mid-run, then heals.
 
     Site1 carries triple workload so its processor grid saturates and
@@ -526,6 +537,9 @@ def run_mesh_partition(seed=9, timeout=2000.0):
     hole (never into it), and -- after the heal -- drain to
     ``classified == shipped`` with every forwarded job completing exactly
     once and every trace chain complete or explicitly terminal.
+
+    A cut shorter than the heartbeat timeout is undetected by design: no
+    gateway declares it, and ``detection_delay`` is reported as -1.0.
     """
     from repro.core.federation import (
         MESH, FederatedManagementSystem, FederatedTopologySpec, SiteSpec)
@@ -555,7 +569,7 @@ def run_mesh_partition(seed=9, timeout=2000.0):
     )
     system = FederatedManagementSystem(spec)
     apply_fault_plan(system, site_partition_plan(
-        "site4", partition_at=PARTITION_AT, heal_after=PARTITION_LEN))
+        "site4", partition_at=PARTITION_AT, heal_after=partition_len))
     goals = system.make_site_goals(polls_per_type=4)
     goals["site1"] = goals["site1"] * 3  # saturate site1 -> forwarding
     system.assign_site_goals(goals)
@@ -581,10 +595,11 @@ def run_mesh_partition(seed=9, timeout=2000.0):
         runtime.gateway for name, runtime in sorted(system.sites.items())
         if name != "site4"
     ]
-    detection_delay = max(
+    declared = [
         at for gateway in observers
         for peer, at in gateway.partitions if peer == "site4"
-    ) - PARTITION_AT
+    ]
+    detection_delay = max(declared) - PARTITION_AT if declared else -1.0
     forwarding = system.forwarding_report()
     dead_records = dead_lettered_records(channel)
     return {
@@ -621,6 +636,17 @@ def run_mesh_partition(seed=9, timeout=2000.0):
         "pipeline": system.telemetry.pipeline_report(),
         "span_count": len(system.telemetry.recorder),
     }
+
+
+def test_mesh_partition_shorter_than_timeout_reports_undetected():
+    """A sub-timeout cut: no gateway declares it, and the cell reports an
+    undetected cut (delay -1.0, negative margin) rather than crashing."""
+    result = run_mesh_partition(partition_len=MESH_HEARTBEAT)
+    assert result["observers_detected"] == 0
+    assert result["partitions_declared"] == 0
+    assert result["detection_delay"] == -1.0
+    assert _detection_margin(MESH_TIMEOUT, result["detection_delay"]) < 0
+    assert result["silent_loss"] == 0
 
 
 def test_mesh_partition_heal(once):
@@ -679,7 +705,8 @@ def test_mesh_partition_heal(once):
             "silent_loss": result["silent_loss"],
             "detection_delay": result["detection_delay"],
             # floor-gated in CI at 0: detection must beat the timeout
-            "detection_margin": MESH_TIMEOUT - result["detection_delay"],
+            "detection_margin": _detection_margin(
+                MESH_TIMEOUT, result["detection_delay"]),
             "jobs_forwarded": result["jobs_forwarded"],
             "results_delivered": result["results_delivered"],
             "forwards_expired": result["forwards_expired"],
@@ -833,7 +860,8 @@ def run_split_brain(timeout=2000.0):
             - dead_lettered_records(channel)),
         "observers_detected": len(delays),
         "detection_delay": detection_delay,
-        "detection_margin": GOSSIP_HEARTBEAT_TIMEOUT - detection_delay,
+        "detection_margin": _detection_margin(
+            GOSSIP_HEARTBEAT_TIMEOUT, detection_delay),
         "recovered_views": sum(
             1 for name in severed if name in recoveries),
         "stand_ins": sorted(

@@ -878,6 +878,16 @@ def _finding_to_problem_dict(finding):
     }
 
 
+def _engine_evidence(engine):
+    """What the rule engine did for one job, for the ``analyze`` span."""
+    return {
+        "facts": engine.facts_in,
+        "activations": engine.activations,
+        "firings": engine.fire_count,
+        "join_probes": engine.join_probes,
+    }
+
+
 class AnalyzerAgent(Agent):
     """An analysis agent inside a processor-grid container.
 
@@ -1032,9 +1042,11 @@ class AnalyzerAgent(Agent):
         self.container.busy_agents += 1
         try:
             if content["level"] >= 3:
-                findings, analyzed = yield from self._run_cross_job(content)
+                findings, analyzed, evidence = yield from self._run_cross_job(
+                    content)
             else:
-                findings, analyzed = yield from self._run_cluster_job(content)
+                findings, analyzed, evidence = yield from self._run_cluster_job(
+                    content)
         finally:
             self.container.busy_agents -= 1
         self.jobs_completed += 1
@@ -1063,7 +1075,7 @@ class AnalyzerAgent(Agent):
             ))
         if span is not None:
             telemetry.recorder.end(
-                span, findings=len(findings), records=analyzed,
+                span, findings=len(findings), records=analyzed, **evidence
             )
 
     def _fetch(self, storage_query, size_units, conversation_tag,
@@ -1127,7 +1139,7 @@ class AnalyzerAgent(Agent):
             * max(1, content["record_count"]),
         )
         if fetched is None:
-            return [], 0
+            return [], 0, {}
         records = fetched["records"]
         baselines = fetched["baselines"]
         infer_costs = self.cost_model.infer_costs
@@ -1155,7 +1167,7 @@ class AnalyzerAgent(Agent):
             Finding.from_fact(fact, level=2)
             for fact in memory.facts("problem")
         ]
-        return findings, len(records)
+        return findings, len(records), _engine_evidence(engine)
 
     def _run_cross_job(self, content):
         self._current_storage_agent = "storage@" + content["storage_host"]
@@ -1183,7 +1195,7 @@ class AnalyzerAgent(Agent):
             Finding.from_fact(fact, level=3)
             for fact in memory.facts("incident")
         ]
-        return findings, 0
+        return findings, 0, _engine_evidence(engine)
 
     def _scatter_summaries(self, content, shards):
         """Gather every shard's dataset summary, bounded-fan-out.

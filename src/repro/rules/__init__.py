@@ -8,7 +8,7 @@ large number of analysis rules".  This package provides:
 * :mod:`facts <repro.rules.facts>` -- typed facts and working memory;
 * :mod:`conditions <repro.rules.conditions>` -- the pattern/predicate DSL;
 * :mod:`engine <repro.rules.engine>` -- forward-chaining inference with
-  salience ordering and refractoriness;
+  incremental indexed matching, salience ordering and refractoriness;
 * :mod:`rulebase <repro.rules.rulebase>` -- grouped, extensible knowledge
   bases (agents can "learn new rules" by adding to them at runtime);
 * :mod:`stdlib <repro.rules.stdlib>` -- the stock network-management rules

@@ -1,6 +1,7 @@
 """Typed facts and working memory."""
 
 import itertools
+import weakref
 
 
 class Fact:
@@ -81,9 +82,31 @@ class WorkingMemory:
         self._by_type = {}
         self._by_key = {}
         self._clock = clock if clock is not None else (lambda: 0.0)
+        self._observers = []
         self.assertions = 0
         self.retractions = 0
         self.version = 0
+
+    def subscribe(self, observer):
+        """Report every later change to ``observer``.
+
+        ``observer.memory_changed(fact, asserted)`` runs after each fact is
+        stored (``asserted=True``) or removed; no-op duplicate asserts and
+        retracts of absent facts are not reported.  The observer is held
+        by weak reference, so an engine and its memory form no reference
+        cycle and are freed as soon as the job drops them.
+        """
+        self._observers.append(weakref.ref(observer))
+
+    def _notify(self, facts, asserted):
+        live = []
+        for ref in self._observers:
+            observer = ref()
+            if observer is not None:
+                live.append(ref)
+                for fact in facts:
+                    observer.memory_changed(fact, asserted)
+        self._observers = live
 
     def __len__(self):
         return sum(len(facts) for facts in self._by_type.values())
@@ -99,6 +122,8 @@ class WorkingMemory:
         self._by_key[key] = fact
         self.assertions += 1
         self.version += 1
+        if self._observers:
+            self._notify((fact,), True)
         return fact
 
     def assert_new(self, fact_type, **attrs):
@@ -116,6 +141,8 @@ class WorkingMemory:
         self._by_key.pop(fact.content_key(), None)
         self.retractions += 1
         self.version += 1
+        if self._observers:
+            self._notify((fact,), False)
         return True
 
     def retract_type(self, fact_type):
@@ -126,6 +153,8 @@ class WorkingMemory:
         self.retractions += len(facts)
         if facts:
             self.version += 1
+            if self._observers:
+                self._notify(facts, False)
         return len(facts)
 
     def facts(self, fact_type=None):

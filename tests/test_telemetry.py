@@ -415,6 +415,30 @@ class TestGridTelemetry:
         assert first_keys == second_keys
         assert first_keys  # non-vacuous
 
+    def test_analyze_spans_carry_rule_engine_evidence(self):
+        """A traced Figure-6c run with faulty devices: each ``analyze``
+        span says what the rule engine did, and the spans' firings add up
+        to the analyzers'."""
+        system = GridManagementSystem(GridTopologySpec.paper_figure6c(
+            seed=42, dataset_threshold=30, telemetry=True))
+        devices = sorted(system.devices)
+        system.devices[devices[0]].inject_fault("cpu_runaway")
+        system.devices[devices[1]].inject_fault("cpu_runaway")
+        system.devices[devices[2]].inject_fault("memory_leak")
+        assert _run(system, polls_per_type=10, timeout=4000.0)
+        spans = system.telemetry.recorder.find(name="analyze")
+        assert spans
+        for span in spans:
+            detail = span.detail
+            # a cluster job always loads its records; a cross job may
+            # correlate an empty problem set
+            assert detail["facts"] > 0 or detail["level"] == 3
+            assert 0 <= detail["firings"] <= detail["activations"]
+            assert detail["join_probes"] >= 0
+        fired = sum(analyzer.rules_fired for analyzer in system.analyzers)
+        assert fired > 0
+        assert sum(span.detail["firings"] for span in spans) == fired
+
     def test_telemetry_is_passive_same_simulation_either_way(self):
         """A run with the recorder on is simulation-identical to one with
         it off: same clock, same reports, same resource accounting."""
