@@ -13,8 +13,15 @@ The sharded bigtopo bench below extends X3 to the wall-clock axis: the
 into ``BENCH_kernel.json`` (owned by ``test_bench_kernel.py``; this bench
 only read-modify-writes its own keys) so ``check_perf_regression.py`` can
 gate near-linear scale-out in CI.
+
+The build-only sweep times set-up alone (no run) for the same lazy
+sharded grid at 1,000 / 5,000 / 20,000 devices, a fixed amount of work
+per device: it merges ``bigtopo{N}_build_seconds`` and
+``bigtopo{N}_build_per_device`` into ``BENCH_kernel.json`` for the CI
+ratio gate that keeps set-up linear in the device count.
 """
 
+import gc
 import json
 import os
 import time
@@ -123,8 +130,8 @@ def _merge_bench_metrics(updates):
     """Merge keys into BENCH_kernel.json without clobbering its owner.
 
     ``test_bench_kernel.py`` rewrites the whole file; this bench only owns
-    the ``bigtopo{1000,5000}_*`` keys, so it loads whatever is on disk (or
-    starts a fresh payload when run standalone) and updates in place.
+    the ``bigtopo{N}_*`` keys, so it loads whatever is on disk (or starts
+    a fresh payload when run standalone) and updates in place.
     """
     if os.path.exists(BENCH_PATH):
         with open(BENCH_PATH) as handle:
@@ -171,3 +178,73 @@ def test_bench_sharded_bigtopo_scaling():
     assert per_device_5000 <= 2.0 * per_device_1000, (
         "super-linear scale-out: %.3f ms/device at 5000 vs %.3f at 1000"
         % (per_device_5000 * 1e3, per_device_1000 * 1e3))
+
+
+# -- build-only device sweep --------------------------------------------------
+
+BUILD_DEVICE_COUNTS = (1000, 5000, 20000)
+BUILD_ROUNDS = 5
+
+
+def _sharded_bigtopo_build(device_count):
+    """Best-of-rounds wall seconds to construct the sharded grid (no run)."""
+    from repro.core.system import GridManagementSystem, GridTopologySpec, HostSpec
+    from repro.workloads.scenarios import scaling_scenario
+
+    scenario = scaling_scenario(device_count, SHARDED_REQUESTS_PER_TYPE)
+    spec = GridTopologySpec(
+        devices=list(scenario.devices),
+        collector_hosts=[HostSpec("collector%d" % (index + 1), "site1")
+                         for index in range(SHARDED_COLLECTORS)],
+        analysis_hosts=[HostSpec("inference%d" % (index + 1), "site1")
+                        for index in range(SHARDED_ANALYZERS)],
+        storage_host=HostSpec("storage1", "site1"),
+        interface_host=HostSpec("interface1", "site1"),
+        seed=SHARDED_SEED,
+        dataset_threshold=scenario.total_requests,
+        shards=SHARDED_SHARDS,
+        lazy_devices=True,
+    )
+    best = None
+    for _ in range(BUILD_ROUNDS):
+        gc.collect()
+        start = time.perf_counter()
+        system = GridManagementSystem(spec)
+        elapsed = time.perf_counter() - start
+        assert len(system.devices) == device_count
+        del system
+        if best is None or elapsed < best:
+            best = elapsed
+    return best
+
+
+def test_bench_sharded_bigtopo_build_sweep():
+    """Set-up cost per device stays flat from 1,000 to 20,000 devices.
+
+    Idle devices cost only their identity (resources, RNG streams and
+    MIBs are built on first touch), so construction is linear in the
+    device count.  CI gates the 20,000 / 1,000 per-device ratio through
+    ``check_perf_regression.py``; the 2x bound here catches gross
+    super-linear set-up in local runs.
+    """
+    rows = []
+    metrics = {}
+    for device_count in BUILD_DEVICE_COUNTS:
+        seconds = _sharded_bigtopo_build(device_count)
+        per_device = seconds / device_count
+        metrics["bigtopo%d_build_seconds" % device_count] = seconds
+        metrics["bigtopo%d_build_per_device" % device_count] = per_device
+        rows.append((device_count, SHARDED_SHARDS, "%.3f" % seconds,
+                     "%.2f" % (per_device * 1e6)))
+    _merge_bench_metrics(metrics)
+    emit("scalability_build", format_table(
+        ("devices", "shards", "build (s)", "build/device (us)"), rows,
+        title="X3d: sharded (shards=%d) lazy bigtopo set-up, no run"
+              % SHARDED_SHARDS,
+    ))
+    first, last = BUILD_DEVICE_COUNTS[0], BUILD_DEVICE_COUNTS[-1]
+    ratio = (metrics["bigtopo%d_build_per_device" % last]
+             / metrics["bigtopo%d_build_per_device" % first])
+    assert ratio <= 2.0, (
+        "super-linear set-up: %d devices cost %.2fx per device of %d"
+        % (last, ratio, first))

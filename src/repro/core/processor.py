@@ -1160,9 +1160,8 @@ class AnalyzerAgent(Agent):
                 mean=baseline["mean"],
                 maximum=baseline["maximum"],
             ))
-        groups = self._rule_groups_for(content["cluster"])
-        engine = self.knowledge_base.engine_for(memory, groups=groups, max_level=2)
-        self.rules_fired += engine.run()
+        engine = self._infer(
+            memory, self._rule_groups_for(content["cluster"]), max_level=2)
         findings = [
             Finding.from_fact(fact, level=2)
             for fact in memory.facts("problem")
@@ -1187,15 +1186,31 @@ class AnalyzerAgent(Agent):
         memory = WorkingMemory(clock=lambda: self.sim.now)
         for problem in content.get("problems", ()):
             memory.assert_fact(Fact("problem", **problem))
-        engine = self.knowledge_base.engine_for(
-            memory, groups=("correlation",), max_level=3,
-        )
-        self.rules_fired += engine.run()
+        engine = self._infer(memory, ("correlation",), max_level=3)
         findings = [
             Finding.from_fact(fact, level=3)
             for fact in memory.facts("incident")
         ]
         return findings, 0, _engine_evidence(engine)
+
+    def _infer(self, memory, groups, max_level):
+        """Run the job's rules over ``memory`` to quiescence; returns the engine.
+
+        ``max_cycles`` counts the firings that change memory, and each such
+        firing of the standard rules asserts one problem (or incident)
+        about the facts it matched.  A fixed 1000 therefore fails big jobs:
+        a 2400-record job with one device in five faulty asserts 1,760
+        problems.  With every device faulty that job asserts ~0.8 problems
+        per fact in memory, so twice the job's facts (never below the
+        engine's default 1000) lets any such job finish, while a rule that
+        never quiesces still raises after work proportional to the job.
+        """
+        engine = self.knowledge_base.engine_for(
+            memory, groups=groups, max_level=max_level,
+            max_cycles=max(1000, 2 * len(memory)),
+        )
+        self.rules_fired += engine.run()
+        return engine
 
     def _scatter_summaries(self, content, shards):
         """Gather every shard's dataset summary, bounded-fan-out.

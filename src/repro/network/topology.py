@@ -73,6 +73,14 @@ class Site:
         return "Site(%r, hosts=%d)" % (self.name, len(self.hosts))
 
 
+#: Host resource attribute -> (index into ``Host._capacities``, kind).
+_RESOURCES = {
+    "cpu": (0, ResourceKind.CPU),
+    "disk": (1, ResourceKind.DISK),
+    "nic": (2, ResourceKind.NET),
+}
+
+
 class Host:
     """A machine with accounted CPU, disk and network-interface resources.
 
@@ -86,6 +94,12 @@ class Host:
         role: free-form tag ("manager", "collector", "device", ...) used by
             the evaluation to group hosts in reports.
         tags: extra labels (e.g. capabilities) for directory experiments.
+
+    The ``cpu`` / ``disk`` / ``nic`` :class:`Resource` objects are built
+    on first access and cached as plain instance attributes, so a host
+    nothing ever uses (an idle device among thousands) costs no queues
+    or ledgers, and a used one pays no per-access indirection.
+    Capacities are still validated here, at construction.
     """
 
     def __init__(
@@ -104,12 +118,27 @@ class Host:
         self.site = site
         self.role = role
         self.tags = tuple(tags)
-        self.cpu = Resource(sim, "cpu", ResourceKind.CPU, cpu_capacity, owner=self)
-        self.disk = Resource(sim, "disk", ResourceKind.DISK, disk_capacity, owner=self)
-        self.nic = Resource(sim, "nic", ResourceKind.NET, net_capacity, owner=self)
+        self._capacities = (cpu_capacity, disk_capacity, net_capacity)
+        for capacity in self._capacities:
+            if capacity <= 0:
+                raise ValueError("capacity must be positive, got %r" % capacity)
         self.up = True
         self._ports = {}
         site.hosts.append(self)
+
+    def __getattr__(self, name):
+        # Only reached when normal lookup fails, i.e. for a resource not
+        # built yet; the cached attribute short-circuits every later read.
+        try:
+            index, kind = _RESOURCES[name]
+        except KeyError:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            ) from None
+        resource = Resource(
+            self.sim, name, kind, self._capacities[index], owner=self)
+        setattr(self, name, resource)
+        return resource
 
     # -- port binding (used by Transport) --------------------------------
 

@@ -30,6 +30,15 @@ class RngStream:
         self.seed = derive_seed(master_seed, name)
         self._random = random.Random(self.seed)
 
+    @property
+    def generator(self):
+        """The underlying :class:`random.Random`.
+
+        For hot loops that hoist its bound methods; drawing through it
+        advances this stream exactly as the wrappers below do.
+        """
+        return self._random
+
     def uniform(self, low, high):
         return self._random.uniform(low, high)
 

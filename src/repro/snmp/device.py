@@ -7,7 +7,7 @@ Fault injection (used by the fault-management example and benches) switches
 the dynamics into degraded regimes that the stock analysis rules detect.
 """
 
-from repro.snmp.mib import MibObject, MibTree, std
+from repro.snmp.mib import MibTree, std
 
 
 class DeviceProfile:
@@ -97,7 +97,14 @@ class ManagedDevice:
             draws from the device's own RNG stream in tick order -- but an
             idle device costs *zero* kernel events.  This is the
             big-topology win: at ``devices=5000, tick=1`` eager dynamics
-            alone schedule 5000 events per simulated second.
+            alone schedule 5000 events per simulated second.  A lazy
+            device also builds its MIB on first read.
+
+    In both modes the device's RNG stream (``sim.rng("device/<name>")``)
+    is created on the first draw; its seed derives from the stream name,
+    so the values do not depend on when that happens.  Together with the
+    host building its resources on first use, a device that is never
+    polled costs only its identity and state scalars.
     """
 
     def __init__(self, sim, host, profile="server", tick=1.0, lazy=False):
@@ -108,7 +115,7 @@ class ManagedDevice:
         self.profile = profile
         self.tick = tick
         self.lazy = lazy
-        self.rng = sim.rng("device/" + host.name)
+        self._rng = None
         self.faults = _Faults()
         self.started_at = sim.now
         self._ticks_done = 0
@@ -137,6 +144,14 @@ class ManagedDevice:
                 self._run_dynamics(), name="dyn:" + host.name,
             )
 
+    @property
+    def rng(self):
+        """The device's private RNG stream, created on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.rng("device/" + self.host.name)
+        return rng
+
     # -- MIB ---------------------------------------------------------------
 
     @property
@@ -148,55 +163,57 @@ class ManagedDevice:
         return mib
 
     def _populate_mib(self):
-        mib = self._mib
-        mib.register_scalar(
-            std.SYS_DESCR, "sysDescr",
-            "repro %s device" % self.profile.name,
+        # Objects are registered in OID order, so each register() appends.
+        register = self._mib.register_scalar
+        profile = self.profile
+        register(
+            std.SYS_DESCR, "sysDescr", "repro %s device" % profile.name,
         )
-        mib.register_scalar(
+        register(
             std.SYS_UPTIME, "sysUpTime",
             lambda: int((self.sim.now - self.started_at) * 100), units="ticks",
         )
-        mib.register_scalar(std.SYS_NAME, "sysName", self.host.name, writable=False)
-        mib.register_scalar(
+        register(std.SYS_NAME, "sysName", self.host.name, writable=False)
+        register(std.IF_COUNT, "ifNumber", profile.interface_count)
+        # The polled OID lists are built once per device shape:
+        # traffic = [ifNumber, then in, out, status per interface],
+        # storage = [disk free, disk total, process count, process table].
+        traffic = std.group_oids(std.GROUP_TRAFFIC, profile.interface_count)
+        in_oids, out_oids, status_oids = (
+            traffic[1::3], traffic[2::3], traffic[3::3])
+        for index, oid in enumerate(status_oids, start=1):
+            register(oid, "ifOperStatus.%d" % index, self._status_reader(index))
+        for index, oid in enumerate(in_oids, start=1):
+            register(
+                oid, "ifInOctets.%d" % index,
+                self._octet_reader(self.if_in_octets, index - 1),
+                units="octets",
+            )
+        for index, oid in enumerate(out_oids, start=1):
+            register(
+                oid, "ifOutOctets.%d" % index,
+                self._octet_reader(self.if_out_octets, index - 1),
+                units="octets",
+            )
+        register(std.PROC_COUNT, "hrSystemProcesses", lambda: self.proc_count)
+        proc_oids = std.group_oids(
+            std.GROUP_STORAGE, process_slots=len(self.process_names))[3:]
+        for slot, (oid, name) in enumerate(
+                zip(proc_oids, self.process_names), start=1):
+            register(oid, "hrSWRunName.%d" % slot, name)
+        register(
+            std.MEM_AVAIL, "memAvailReal", lambda: self.mem_available_kb,
+            units="kB",
+        )
+        register(std.DISK_TOTAL, "dskTotal", profile.disk_total_kb, units="kB")
+        register(
+            std.DISK_FREE, "dskAvail", lambda: self.disk_free_kb, units="kB",
+        )
+        register(std.LOAD_AVG_1MIN, "laLoad1", lambda: round(self.load_avg, 2))
+        register(
             std.CPU_LOAD, "ssCpuBusy", lambda: round(self.cpu_load, 1),
             units="percent",
         )
-        mib.register_scalar(
-            std.MEM_AVAIL, "memAvailReal", lambda: self.mem_available_kb, units="kB",
-        )
-        mib.register_scalar(
-            std.LOAD_AVG_1MIN, "laLoad1", lambda: round(self.load_avg, 2),
-        )
-        mib.register_scalar(
-            std.DISK_FREE, "dskAvail", lambda: self.disk_free_kb, units="kB",
-        )
-        mib.register_scalar(
-            std.DISK_TOTAL, "dskTotal", self.profile.disk_total_kb, units="kB",
-        )
-        mib.register_scalar(
-            std.PROC_COUNT, "hrSystemProcesses", lambda: self.proc_count,
-        )
-        mib.register_scalar(
-            std.IF_COUNT, "ifNumber", self.profile.interface_count,
-        )
-        for index in range(1, self.profile.interface_count + 1):
-            mib.register(MibObject(
-                std.IF_IN_OCTETS.child(index), "ifInOctets.%d" % index,
-                self._octet_reader(self.if_in_octets, index - 1), units="octets",
-            ))
-            mib.register(MibObject(
-                std.IF_OUT_OCTETS.child(index), "ifOutOctets.%d" % index,
-                self._octet_reader(self.if_out_octets, index - 1), units="octets",
-            ))
-            mib.register(MibObject(
-                std.IF_OPER_STATUS.child(index), "ifOperStatus.%d" % index,
-                self._status_reader(index),
-            ))
-        for slot, name in enumerate(self.process_names, start=1):
-            mib.register_scalar(
-                std.PROC_TABLE.child(slot), "hrSWRunName.%d" % slot, name,
-            )
 
     def _octet_reader(self, counters, index):
         return lambda: counters[index]
@@ -228,47 +245,56 @@ class ManagedDevice:
             self._advance()
 
     def _advance(self):
-        """One dynamics tick (shared by the eager loop and lazy replay)."""
+        """One dynamics tick (shared by the eager loop and lazy replay).
+
+        Draw order per tick: CPU, load average, memory (healthy regime
+        only), process count, then per up interface its traffic and its
+        out/in ratio.  Each clamp is ``min(high, max(low, gauss(...)))``.
+        """
         self._ticks_done += 1
         # Re-read the profile each tick: scenarios may swap it at
         # runtime (e.g. rerouted traffic multiplying the rate).
         profile = self.profile
-        if self.faults.cpu_runaway:
-            self.cpu_load = self.rng.bounded_gauss(97.0, 2.0, 90.0, 100.0)
+        faults = self.faults
+        generator = self.rng.generator
+        gauss = generator.gauss
+        if faults.cpu_runaway:
+            cpu_load = min(100.0, max(90.0, gauss(97.0, 2.0)))
         else:
-            self.cpu_load = self.rng.bounded_gauss(
-                profile.cpu_mean, profile.cpu_sigma, 0.0, 100.0
-            )
-        self.load_avg = max(0.0, self.cpu_load / 25.0 + self.rng.gauss(0, 0.1))
-        if self.faults.memory_leak:
+            cpu_load = min(
+                100.0, max(0.0, gauss(profile.cpu_mean, profile.cpu_sigma)))
+        self.cpu_load = cpu_load
+        self.load_avg = max(0.0, cpu_load / 25.0 + gauss(0, 0.1))
+        mem_total = profile.mem_total_kb
+        if faults.memory_leak:
             self.mem_available_kb = max(
-                0, int(self.mem_available_kb - profile.mem_total_kb * 0.02)
+                0, int(self.mem_available_kb - mem_total * 0.02)
             )
         else:
-            self.mem_available_kb = int(self.rng.bounded_gauss(
-                profile.mem_total_kb * 0.6,
-                profile.mem_total_kb * 0.1,
-                profile.mem_total_kb * 0.2,
-                profile.mem_total_kb * 0.95,
+            self.mem_available_kb = int(min(
+                mem_total * 0.95,
+                max(mem_total * 0.2, gauss(mem_total * 0.6, mem_total * 0.1)),
             ))
-        if self.faults.disk_filling:
+        if faults.disk_filling:
             self.disk_free_kb = max(
                 0, int(self.disk_free_kb - profile.disk_total_kb * 0.03)
             )
         self.proc_count = max(
-            1, int(self.proc_count + self.rng.randint(-3, 3))
+            1, int(self.proc_count + generator.randint(-3, 3))
         )
+        mean = profile.traffic_rate * self.tick
+        sigma = mean * 0.3
+        high = mean * 3.0
+        down = faults.down_interfaces
+        uniform = generator.uniform
+        in_octets = self.if_in_octets
+        out_octets = self.if_out_octets
         for index in range(profile.interface_count):
-            if index in self.faults.down_interfaces:
+            if index in down:
                 continue
-            delta = self.rng.bounded_gauss(
-                profile.traffic_rate * self.tick,
-                profile.traffic_rate * self.tick * 0.3,
-                0.0,
-                profile.traffic_rate * self.tick * 3.0,
-            )
-            self.if_in_octets[index] += int(delta)
-            self.if_out_octets[index] += int(delta * self.rng.uniform(0.5, 1.0))
+            delta = min(high, max(0.0, gauss(mean, sigma)))
+            in_octets[index] += int(delta)
+            out_octets[index] += int(delta * uniform(0.5, 1.0))
 
     # -- fault injection -------------------------------------------------
 

@@ -8,7 +8,7 @@ network to the requester's reply port.
 """
 
 from repro.network.transport import DeliveryError, Message
-from repro.snmp.oids import OID
+from repro.snmp.oids import as_oid
 
 
 class PduType:
@@ -35,7 +35,7 @@ class VarBind:
     __slots__ = ("oid", "value", "name", "error")
 
     def __init__(self, oid, value=None, name="", error=None):
-        self.oid = OID(oid)
+        self.oid = as_oid(oid)
         self.value = value
         self.name = name
         self.error = error

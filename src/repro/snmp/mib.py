@@ -11,8 +11,9 @@ performance (CPU, memory), storage (disk, processes) and interface traffic
 """
 
 import bisect
+import functools
 
-from repro.snmp.oids import OID
+from repro.snmp.oids import OID, as_oid
 
 
 class MibObject:
@@ -27,7 +28,7 @@ class MibObject:
     """
 
     def __init__(self, oid, name, value, writable=False, units=""):
-        self.oid = OID(oid)
+        self.oid = as_oid(oid)
         self.name = name
         self._value = value
         self.writable = writable
@@ -62,32 +63,36 @@ class MibTree:
         if oid in self._objects:
             raise ValueError("OID %s already registered" % oid)
         self._objects[oid] = mib_object
-        bisect.insort(self._order, oid)
+        order = self._order
+        if order and oid < order[-1]:
+            bisect.insort(order, oid)
+        else:
+            order.append(oid)  # registered in OID order: no search
         return mib_object
 
     def register_scalar(self, oid, name, value, writable=False, units=""):
         return self.register(MibObject(oid, name, value, writable, units))
 
     def __contains__(self, oid):
-        return OID(oid) in self._objects
+        return as_oid(oid) in self._objects
 
     def __len__(self):
         return len(self._objects)
 
     def get(self, oid):
         """The object at exactly ``oid``, or None."""
-        return self._objects.get(OID(oid))
+        return self._objects.get(as_oid(oid))
 
     def get_next(self, oid):
         """The first object with OID strictly greater than ``oid``, or None."""
-        index = bisect.bisect_right(self._order, OID(oid))
+        index = bisect.bisect_right(self._order, as_oid(oid))
         if index >= len(self._order):
             return None
         return self._objects[self._order[index]]
 
     def walk(self, prefix):
         """All objects within the subtree rooted at ``prefix``, in order."""
-        prefix = OID(prefix)
+        prefix = as_oid(prefix)
         index = bisect.bisect_left(self._order, prefix)
         results = []
         while index < len(self._order):
@@ -142,21 +147,34 @@ class StandardMib:
 
     @classmethod
     def group_oids(cls, group, interface_count=2, process_slots=3):
-        """The scalar OIDs polled for a request of the given group."""
-        if group == cls.GROUP_PERFORMANCE:
-            return [cls.CPU_LOAD, cls.MEM_AVAIL, cls.LOAD_AVG_1MIN]
-        if group == cls.GROUP_STORAGE:
-            oids = [cls.DISK_FREE, cls.DISK_TOTAL, cls.PROC_COUNT]
-            oids.extend(cls.PROC_TABLE.child(i + 1) for i in range(process_slots))
-            return oids
-        if group == cls.GROUP_TRAFFIC:
-            oids = [cls.IF_COUNT]
-            for index in range(1, interface_count + 1):
-                oids.append(cls.IF_IN_OCTETS.child(index))
-                oids.append(cls.IF_OUT_OCTETS.child(index))
-                oids.append(cls.IF_OPER_STATUS.child(index))
-            return oids
-        raise ValueError("unknown OID group %r" % group)
+        """The scalar OIDs polled for a request of the given group.
+
+        Every call returns a fresh list (callers may mutate it); the OIDs
+        themselves are built once per ``(group, interface_count,
+        process_slots)``.
+        """
+        return list(_group_layout(group, interface_count, process_slots))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _group_layout(group, interface_count, process_slots):
+    if group == StandardMib.GROUP_PERFORMANCE:
+        return (StandardMib.CPU_LOAD, StandardMib.MEM_AVAIL,
+                StandardMib.LOAD_AVG_1MIN)
+    if group == StandardMib.GROUP_STORAGE:
+        oids = [StandardMib.DISK_FREE, StandardMib.DISK_TOTAL,
+                StandardMib.PROC_COUNT]
+        oids.extend(StandardMib.PROC_TABLE.child(i + 1)
+                    for i in range(process_slots))
+        return tuple(oids)
+    if group == StandardMib.GROUP_TRAFFIC:
+        oids = [StandardMib.IF_COUNT]
+        for index in range(1, interface_count + 1):
+            oids.append(StandardMib.IF_IN_OCTETS.child(index))
+            oids.append(StandardMib.IF_OUT_OCTETS.child(index))
+            oids.append(StandardMib.IF_OPER_STATUS.child(index))
+        return tuple(oids)
+    raise ValueError("unknown OID group %r" % group)
 
 
 #: Short alias used throughout the codebase.

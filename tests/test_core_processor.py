@@ -287,3 +287,145 @@ class TestFeedbackLoop:
         # learning is recorded in the analyzer knowledge bases
         assert all("proc-watch" in a.knowledge_base.learned
                    for a in system.analyzers)
+
+
+class TestAnalyzerCycleBound:
+    """Analyzers size the engine's ``max_cycles`` from the job.
+
+    A 2400-record cluster job with one device in five faulty asserts 1,760
+    problems, so the engine's default bound of 1000 memory-changing
+    firings used to kill the job.
+    """
+
+    RECORDS = 2400
+    FAULTY_EVERY = 5
+
+    @staticmethod
+    def _job(record_count, faulty_every):
+        """Synthetic records (one of each type per device) and baselines."""
+        from repro.core.records import ManagementRecord, Sample
+
+        records, baselines = [], []
+        for index in range(record_count // 3):
+            device, site = "dev%d" % index, "site%d" % (index % 4)
+            faulty = index % faulty_every == 0
+            polls = {
+                "performance": [
+                    ("cpu_load", 97.0 if faulty else 20.0 + index % 50, None),
+                    ("mem_available", 40 * 1024 if faulty else 600 * 1024,
+                     None),
+                    ("load_avg", 7.5 if faulty else 0.5, None),
+                ],
+                "storage": [
+                    ("disk_free", 200 * 1024 if faulty else 8 * 1024 * 1024,
+                     None),
+                    ("proc_count", 450 if faulty else 120, None),
+                ],
+                "traffic": [
+                    ("if_oper_status", 2 if faulty else 1, 1),
+                    ("if_oper_status", 1, 2),
+                    ("if_in_rate", 9000.0 if faulty else 800.0, 1),
+                    ("if_in_rate", 0.5 if faulty else 700.0, 2),
+                ],
+            }
+            for request_type, (group, samples) in zip("ABC", polls.items()):
+                records.append(ManagementRecord(
+                    device, site, request_type, group,
+                    [Sample(device, site, group, metric, value, 1.0,
+                            instance=instance)
+                     for metric, value, instance in samples],
+                    collected_at=1.0, size_units=1.0, parsed=True))
+            for metric, mean, instance in (
+                    ("mem_available", 800 * 1024, None),
+                    ("load_avg", 0.6, None),
+                    ("disk_free", 8 * 1024 * 1024, None),
+                    ("if_in_rate", 800.0, 1), ("if_in_rate", 800.0, 2)):
+                baselines.append(dict(device=device, metric=metric,
+                                      instance=instance, mean=mean,
+                                      maximum=mean))
+        return records, baselines
+
+    @staticmethod
+    def _analyzer(sim, network, platform, extra_rules=()):
+        from repro.core.processor import AnalyzerAgent
+        from repro.rules.stdlib import standard_knowledge_base
+
+        knowledge_base = standard_knowledge_base()
+        for rule in extra_rules:
+            knowledge_base.add(rule)
+        container = platform.create_container(
+            "big-c", network.add_host("big", "site1"),
+            services=("analysis",))
+        analyzer = AnalyzerAgent("big-analyzer", root_name="nobody",
+                                 knowledge_base=knowledge_base,
+                                 register_on_start=False)
+        container.deploy(analyzer)
+        return analyzer
+
+    def _run_job(self, sim, analyzer, records, baselines):
+        def fetch(query, **kwargs):
+            return {"records": records, "baselines": baselines}
+            yield  # pragma: no cover - makes fetch a generator
+
+        analyzer._fetch = fetch
+        process = sim.spawn(analyzer._run_cluster_job({
+            "storage_host": "stor", "dataset": "big", "cluster": "site",
+            "record_count": len(records), "job_id": "big-job",
+        }))
+        while not process.done:
+            sim.run(until=sim.now + 1000.0)
+        return process.result
+
+    def test_big_faulty_job_completes_with_its_problems(
+            self, sim, network, platform):
+        from repro.rules.facts import Fact, WorkingMemory
+        from repro.rules.stdlib import standard_knowledge_base
+
+        records, baselines = self._job(self.RECORDS, self.FAULTY_EVERY)
+        # The engine's fixed default bound cannot finish this job.
+        memory = WorkingMemory()
+        for record in records:
+            for fact in record.to_facts():
+                memory.assert_fact(fact)
+        for baseline in baselines:
+            memory.assert_fact(Fact("baseline", **baseline))
+        facts = len(memory)
+        with pytest.raises(RuntimeError, match="within 1000 cycles"):
+            standard_knowledge_base().engine_for(memory, max_level=2).run()
+
+        analyzer = self._analyzer(sim, network, platform)
+        findings, analyzed, evidence = self._run_job(
+            sim, analyzer, records, baselines)
+        assert analyzed == self.RECORDS
+        assert len(findings) == 1760
+        faulty = {"dev%d" % index
+                  for index in range(0, self.RECORDS // 3, self.FAULTY_EVERY)}
+        assert {finding.device for finding in findings} == faulty
+        assert evidence["facts"] == facts + 1760
+        assert analyzer.rules_fired == evidence["firings"] > 1760
+
+    def test_runaway_rule_still_raises_at_a_job_sized_bound(
+            self, sim, network, platform):
+        from repro.rules.conditions import Pattern, Var
+        from repro.rules.engine import Rule
+
+        def escalate(context):
+            context.assert_fact(
+                "problem", kind="runaway", device="dev0", severity="minor",
+                depth=context.bindings["depth"] + 1)
+
+        runaway = Rule("runaway", [Pattern("problem", depth=Var("depth"))],
+                       escalate, group="performance", level=1)
+        seed = Rule("seed", [Pattern("sample")],
+                    lambda context: context.assert_fact(
+                        "problem", kind="runaway", device="dev0",
+                        severity="minor", depth=0),
+                    group="performance", level=1)
+        analyzer = self._analyzer(sim, network, platform, [seed, runaway])
+        # Small job: never below the engine's default bound.
+        with pytest.raises(RuntimeError, match="within 1000 cycles"):
+            self._run_job(sim, analyzer, *self._job(30, self.FAULTY_EVERY))
+        # Big job: twice its 11,200 facts.
+        with pytest.raises(RuntimeError, match="within 22400 cycles"):
+            self._run_job(sim, analyzer, *self._job(
+                self.RECORDS, self.FAULTY_EVERY))
